@@ -12,14 +12,16 @@
 //!   rule compares against (without it that rule stays silent);
 //! * `--workers-per-locality N` — the contiguous-block locality topology
 //!   of the traced run; enables the locality-imbalance rule (without it
-//!   the trace carries no topology and that rule stays silent);
+//!   the trace carries no topology and that rule stays silent).  Only
+//!   simulator traces have a locality topology: the threaded engine runs
+//!   one shared-memory locality, so the flag applies to simulator traces;
 //! * `--expect KIND` — exit non-zero unless *every* file reports a finding
 //!   of the given kind (`work_inflation`, `starvation`,
 //!   `steal_strip_mining`, `speculation_waste`, `locality_imbalance`).
 //!   CI uses this to pin the strip-mining reconstruction.
 //! * `--forbid KIND` — the mirror assertion: exit non-zero if *any* file
 //!   reports a finding of the given kind.  CI uses this to pin that the
-//!   routed default produces no strip-mining pattern.
+//!   simulator's routed default produces no strip-mining pattern.
 //!
 //! Parsing is strict: a malformed line fails the whole run with a non-zero
 //! exit and a `file:line: message` diagnostic, so CI catches exporter

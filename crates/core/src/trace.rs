@@ -127,11 +127,11 @@ pub enum TraceEvent {
         /// The probed victim's worker id, or [`UNKNOWN_VICTIM`].
         victim: u32,
     },
-    /// A thief's remote steal was *routed*: the per-locality load gauges
-    /// chose the least-loaded-but-nonempty remote locality (the victim
-    /// within it stays blind-random, preserving the PR 6 anti-strip-mining
-    /// invariant) — fires exactly where the worker's `routed_steals`
-    /// counter increments.
+    /// A thief's remote steal was *routed* (simulator only): the
+    /// per-locality load gauges chose the least-loaded-but-nonempty remote
+    /// locality (the victim within it stays blind-random, preserving the
+    /// PR 6 anti-strip-mining invariant) — fires exactly where the
+    /// simulator's `routed_steals` counter increments.
     StealRouted {
         /// The routed-to locality id.
         locality: u32,
@@ -139,8 +139,9 @@ pub enum TraceEvent {
         load: u64,
     },
     /// A worker observed a starved remote locality and pushed a bounded
-    /// batch of tasks into its mailbox instead of waiting to be found —
-    /// fires exactly where the worker's `pushed_tasks` counter increments.
+    /// batch of tasks into its mailbox instead of waiting to be found
+    /// (simulator only) — fires exactly where the simulator's
+    /// `pushed_tasks` counter increments.
     WorkPushed {
         /// The destination locality id.
         locality: u32,
@@ -148,8 +149,9 @@ pub enum TraceEvent {
         tasks: u32,
     },
     /// A thief backed off from a remote locality after consecutive steal
-    /// misses (capped exponential per (thief, locality)) — fires exactly
-    /// where the worker's `backoff_naps` counter increments.
+    /// misses (capped exponential per (thief, locality); simulator only) —
+    /// fires exactly where the simulator's `backoff_naps` counter
+    /// increments.
     StealBackoff {
         /// The locality being backed off from.
         locality: u32,

@@ -46,9 +46,9 @@ pub struct AnalyzeConfig {
     /// Workers per locality, for the
     /// [`LocalityImbalance`](FindingKind::LocalityImbalance) rule: worker
     /// `w` belongs to locality `w / workers_per_locality` (the simulator's
-    /// and threaded engine's contiguous-block mapping).  The trace itself
-    /// carries no locality topology, so the rule is **disabled** at the
-    /// default of 0.
+    /// contiguous-block mapping; threaded traces are single-locality).  The
+    /// trace itself carries no locality topology, so the rule is
+    /// **disabled** at the default of 0.
     pub workers_per_locality: usize,
     /// How far (in idle-fraction points) one locality's mean idle fraction
     /// must exceed the fleet mean — while some other locality stays mostly

@@ -16,7 +16,7 @@ use yewpar::monoid::Monoid;
 use yewpar::objective::PruneLevel;
 use yewpar::params::Coordination;
 use yewpar::trace::{TraceEvent, TraceRecord, CONTROL_WORKER, UNKNOWN_VICTIM};
-use yewpar::workpool::{DepthPool, OrderedPool, SeqKey, Task, POP_BATCH, PUSH_BATCH, STEAL_BATCH};
+use yewpar::workpool::{DepthPool, OrderedPool, SeqKey, Task, POP_BATCH, STEAL_BATCH};
 use yewpar::{Decide, Enumerate, Optimise, SearchProblem, SearchStatus};
 
 /// Virtual-time costs of the simulated operations, in abstract "ticks".
@@ -88,10 +88,15 @@ impl CostModel {
 /// thief is throttled but never parked while work is visible.
 const BACKOFF_CAP: u32 = 3;
 
-/// Busy steps between starvation scans of the work-pushing path, mirroring
-/// the threaded engine's stride-gated check: the scan reads every worker's
-/// state, so it must stay off the per-node fast path.
+/// Busy steps between starvation scans of the work-pushing path: the scan
+/// reads every worker's state, so it must stay off the per-node fast path.
 const PUSH_CHECK_STRIDE: u32 = 2;
+
+/// How many tasks one work-pushing shipment may carry into a starved
+/// locality's mailbox.  Small for the same reason as [`STEAL_BATCH`]:
+/// pushed tasks leave the pusher's heuristic order, so the batch is a
+/// starvation patch, not a load-balancing channel.
+const PUSH_BATCH: usize = 4;
 
 /// Maximum tasks (in flight + undrained) a locality's mailbox may hold
 /// before pushers stop selecting it.  Bounds the work a starved locality
@@ -147,8 +152,8 @@ pub struct SimConfig {
     /// rule can be exercised against a known-bad schedule.  Off by default;
     /// ignored by every other coordination.
     pub hint_directed_remote_steals: bool,
-    /// Locality-aware steal routing, mirroring the threaded engine's
-    /// `SearchConfig::steal_routing`: an idle worker consults the
+    /// Locality-aware steal routing (simulator only — the threaded engine
+    /// runs one shared-memory locality): an idle worker consults the
     /// per-locality load gauges and probes the *least-loaded-but-nonempty*
     /// remote locality — with a blind-random victim *within* it, preserving
     /// the anti-strip-mining invariant — instead of gambling on a uniformly
@@ -157,13 +162,14 @@ pub struct SimConfig {
     /// by default; forced off by `hint_directed_remote_steals`, whose whole
     /// point is re-creating the unrouted pathology.
     pub steal_routing: bool,
-    /// Starvation-triggered work pushing, mirroring the threaded engine's
-    /// `SearchConfig::work_pushing`: a busy worker that observes a starved
-    /// remote locality (≥1 idle worker, nothing queued or stealable, no
-    /// batch already in flight) ships it a bounded burst of lowest-depth
-    /// subtrees through a per-locality mailbox.  The batch becomes visible
-    /// after the remote transfer latency — one shipment buys up to
-    /// [`PUSH_BATCH`] tasks instead of one expensive round-trip per steal —
+    /// Starvation-triggered work pushing (simulator only, like
+    /// [`steal_routing`](SimConfig::steal_routing)): a busy worker that
+    /// observes a starved remote locality (≥1 idle worker, nothing queued
+    /// or stealable, no batch already in flight) ships it a bounded burst
+    /// of lowest-depth subtrees through a per-locality mailbox.  The batch
+    /// becomes visible after the remote transfer latency — one shipment
+    /// buys up to `PUSH_BATCH` (4) tasks instead of one expensive
+    /// round-trip per steal —
     /// and idle workers drain their locality's mailbox before any steal
     /// scan.  On by default; forced off by `hint_directed_remote_steals`.
     pub work_pushing: bool,
@@ -802,8 +808,7 @@ where
                         stats.batch_pushes += 1;
                         stats.lock_acquisitions += 1;
                         next_time += costs.batched_spawn_cost(offload.len());
-                        // Starvation divert, mirroring the threaded
-                        // PoolSource::release: a burst of ≥2 tasks may route
+                        // Starvation divert: a burst of ≥2 tasks may route
                         // up to half (capped at PUSH_BATCH) into a starved
                         // remote locality's mailbox instead of the local
                         // pool; the shipment becomes visible after the
@@ -1311,7 +1316,7 @@ where
     // `outstanding` when it ships, so a completed run (outstanding == 0)
     // proves every mailbox drained — no task may finish the search stranded
     // in transit.  (Deadline and short-circuit exits legitimately abandon
-    // in-flight shipments, mirroring the threaded `discard` drain.)
+    // in-flight shipments.)
     debug_assert!(
         outstanding != 0 || mailboxes.iter().all(VecDeque::is_empty),
         "completed simulation stranded pushed tasks in a mailbox"
@@ -1711,9 +1716,8 @@ where
 
 /// Workers in `locality` currently advertising a stealable stack — the
 /// simulator's per-locality queued-work gauge for the stack-stealing
-/// coordination.  The threaded engine keeps the same aggregate in
-/// `LocalityGauges` as relaxed counters; here it is computed on demand,
-/// which makes it exact rather than an over-approximation.
+/// coordination, computed on demand, so it is exact rather than an
+/// over-approximation.
 fn stealable_stacks<P: SearchProblem>(workers: &mut [SimWorker<'_, P>], locality: usize) -> usize {
     workers
         .iter_mut()

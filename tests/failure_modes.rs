@@ -3,6 +3,7 @@
 //! pathological skeleton parameters, and mid-run lifecycle interruptions
 //! (external cancellation, expired deadlines) must all behave predictably.
 
+use std::sync::{Mutex, MutexGuard};
 use std::time::Duration;
 
 use yewpar::error::Error;
@@ -12,6 +13,20 @@ use yewpar_apps::maxclique::MaxClique;
 use yewpar_apps::semigroups::Semigroups;
 use yewpar_apps::tsp::Tsp;
 use yewpar_instances::{graph, Graph, TspInstance};
+
+/// Serialises the tests in this file that start search workers.  The
+/// interruption tests stop runs 2–10 ms in and require each stopped
+/// maximise to have committed its root; with the other tests' workers
+/// running on the same cores, no worker may get scheduled in that window.
+static WORKERS: Mutex<()> = Mutex::new(());
+
+/// Take [`WORKERS`].  A test that panicked while holding it (including the
+/// `should_panic` ones) only poisons it; the `()` it guards is still valid.
+fn exclusive_workers() -> MutexGuard<'static, ()> {
+    WORKERS
+        .lock()
+        .unwrap_or_else(|poisoned| poisoned.into_inner())
+}
 
 #[test]
 fn invalid_configurations_are_rejected_up_front() {
@@ -35,6 +50,7 @@ fn running_with_a_zero_budget_panics_with_a_clear_message() {
 
 #[test]
 fn trivial_graphs_work_under_every_coordination() {
+    let _workers = exclusive_workers();
     for coord in [
         Coordination::Sequential,
         Coordination::depth_bounded(5),
@@ -80,6 +96,7 @@ fn trivial_graphs_work_under_every_coordination() {
 
 #[test]
 fn unreachable_decision_targets_explore_and_return_none() {
+    let _workers = exclusive_workers();
     let g = graph::gnp(25, 0.3, 9);
     let p = KClique::new(g, 24);
     for coord in [
@@ -97,6 +114,7 @@ fn unreachable_decision_targets_explore_and_return_none() {
 
 #[test]
 fn extreme_skeleton_parameters_still_give_correct_answers() {
+    let _workers = exclusive_workers();
     let p = Semigroups::new(9);
     let expected = Skeleton::new(Coordination::Sequential).enumerate(&p).value;
     // A depth cutoff far beyond the tree depth turns every node into a task.
@@ -130,6 +148,7 @@ fn extreme_skeleton_parameters_still_give_correct_answers() {
 
 #[test]
 fn single_worker_parallel_skeletons_degenerate_gracefully() {
+    let _workers = exclusive_workers();
     let p = Tsp::new(TspInstance::random_euclidean(9, 100.0, 3));
     let expected = Skeleton::new(Coordination::Sequential).maximise(&p);
     for coord in [
@@ -190,6 +209,7 @@ impl yewpar::Enumerate for SpeculativeBomb {
 #[test]
 #[should_panic(expected = "a search worker panicked")]
 fn panic_inside_a_speculative_ordered_task_errors_out_instead_of_wedging() {
+    let _workers = exclusive_workers();
     let _ = Skeleton::new(Coordination::ordered(1))
         .workers(4)
         .enumerate(&SpeculativeBomb);
@@ -197,6 +217,7 @@ fn panic_inside_a_speculative_ordered_task_errors_out_instead_of_wedging() {
 
 #[test]
 fn oversubscribed_worker_counts_are_safe() {
+    let _workers = exclusive_workers();
     // Far more workers than hardware threads (and than available tasks).
     let p = MaxClique::new(graph::gnp(20, 0.5, 77));
     let expected = *Skeleton::new(Coordination::Sequential)
@@ -267,10 +288,11 @@ impl yewpar::Decide for Endless {
     }
 }
 
-fn every_coordination() -> [Coordination; 5] {
+fn every_coordination() -> [Coordination; 6] {
     [
         Coordination::Sequential,
         Coordination::depth_bounded(3),
+        Coordination::stack_stealing(),
         Coordination::stack_stealing_chunked(),
         Coordination::budget(100),
         Coordination::ordered(3),
@@ -315,6 +337,7 @@ fn assert_interrupted(skeleton: &Skeleton, expected: SearchStatus, label: &str) 
 
 #[test]
 fn deadline_exceeded_unwinds_every_coordination_and_search_type() {
+    let _workers = exclusive_workers();
     for coordination in every_coordination() {
         for workers in [1usize, 4, 8] {
             let skeleton = Skeleton::new(coordination)
@@ -339,6 +362,7 @@ fn deadline_exceeded_unwinds_every_coordination_and_search_type() {
 
 #[test]
 fn external_cancel_unwinds_every_coordination_and_search_type() {
+    let _workers = exclusive_workers();
     for coordination in every_coordination() {
         for workers in [1usize, 4, 8] {
             // One watchdog per search: tokens are single-use, so the
@@ -383,9 +407,10 @@ fn external_cancel_unwinds_every_coordination_and_search_type() {
 /// A zero deadline (or a token pulled before submission) stops the search
 /// before any worker runs: the seeded root must still be drained and the
 /// outcome must be well-formed — `best` may legitimately be empty, which
-/// is exactly why the panicking accessors were deprecated.
+/// is why `OptimOutcome` offers only the `Option`-returning accessors.
 #[test]
 fn pre_expired_deadline_exits_cleanly_with_an_empty_best() {
+    let _workers = exclusive_workers();
     for coordination in every_coordination() {
         let skeleton = Skeleton::new(coordination)
             .workers(4)
@@ -405,6 +430,7 @@ fn pre_expired_deadline_exits_cleanly_with_an_empty_best() {
 /// the sequential optimum of the same instance.
 #[test]
 fn partial_incumbent_never_exceeds_the_sequential_optimum() {
+    let _workers = exclusive_workers();
     use yewpar_apps::irregular::Irregular;
     let instance = Irregular::new(13, 7);
     let reference = Skeleton::new(Coordination::Sequential).maximise(&instance);
@@ -422,9 +448,9 @@ fn partial_incumbent_never_exceeds_the_sequential_optimum() {
                 assert_eq!(*out.try_score().unwrap(), optimum, "{coordination}")
             }
             SearchStatus::DeadlineExceeded => {
-                let partial = *out
-                    .try_score()
-                    .expect("the root commits before any 2 ms deadline");
+                let partial = *out.try_score().unwrap_or_else(|| {
+                    panic!("{coordination}: the root commits before any 2 ms deadline")
+                });
                 assert!(
                     partial <= optimum,
                     "{coordination}: partial incumbent {partial} beats the optimum {optimum}"
@@ -442,6 +468,7 @@ fn partial_incumbent_never_exceeds_the_sequential_optimum() {
 /// widened timeout still completes and still cancels cleanly.
 #[test]
 fn configurable_steal_reply_timeout_is_honoured() {
+    let _workers = exclusive_workers();
     use yewpar_apps::irregular::Irregular;
     let instance = Irregular::new(10, 3);
     let reference = Skeleton::new(Coordination::Sequential).enumerate(&instance);
@@ -471,6 +498,7 @@ fn configurable_steal_reply_timeout_is_honoured() {
 /// `Termination::outstanding()` (the leak masked only by the stop flag).
 #[test]
 fn concurrent_purge_and_batched_pushes_keep_task_accounting_exact() {
+    let _workers = exclusive_workers();
     use std::sync::Arc;
     use yewpar::termination::Termination;
     use yewpar::workpool::{OrderedPool, SeqKey};
