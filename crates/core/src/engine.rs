@@ -34,7 +34,6 @@ use crate::genstack::GenStack;
 use crate::lifecycle::{Lifecycle, LifecycleLocal};
 use crate::metrics::WorkerMetrics;
 use crate::node::SearchProblem;
-use crate::runtime::WorkerPool;
 use crate::skeleton::driver::{Action, Driver};
 use crate::termination::Termination;
 use crate::trace::{TraceEvent, TraceHandle, Tracer, UNKNOWN_VICTIM};
@@ -353,11 +352,12 @@ where
 /// A single worker runs inline on the calling thread — no spawn/join cost,
 /// and panics propagate unchanged.  With several workers and no pool on the
 /// `lifecycle`, a scoped thread is spawned per worker; with a persistent
-/// [`WorkerPool`] (runtime submissions), worker 0 runs inline on the
-/// submitting thread and the rest are dispatched to the pool threads leased
-/// by the scheduler's grant (the whole pool when no grant restricts it) —
-/// no per-search thread spawn, and concurrently multiplexed searches stay
-/// on disjoint threads.  Either way a worker panic is detected at join and
+/// [`WorkerPool`](crate::runtime::WorkerPool) (runtime submissions),
+/// worker 0 runs inline on the search's driver (the dispatcher, or a leased
+/// pool thread) and the rest are dispatched to the pool threads leased by
+/// the scheduler's grant (the whole pool when no grant restricts it) — no
+/// per-search thread spawn, and concurrently multiplexed searches stay on
+/// disjoint threads.  Either way a worker panic is detected at join and
 /// re-raised here as "a search worker panicked" ("poison handling").
 /// Shared by [`run`] and the Ordered coordination's commit-aware run loop.
 pub(crate) fn spawn_and_join<F>(
@@ -380,12 +380,12 @@ where
     if workers == 1 {
         return vec![worker_fn(0)];
     }
-    // A zero-thread pool (a workers=1 runtime asked to run a multi-worker
-    // search) has no threads to dispatch to — and a grant can lease zero
-    // slots for the same reason; fall through to scoped threads rather
+    // A grant can lease zero helper slots: a workers=1 runtime under the
+    // serial Fifo policy asked to run a multi-worker search (its helpers
+    // are capped at `workers - 1` pool threads).  That is the one runtime
+    // path still reaching scoped threads; it falls through to them rather
     // than dividing by zero in the pool's round-robin.
-    let pool: Option<&WorkerPool> = lifecycle.pool.as_deref().filter(|p| p.size() > 0);
-    if let Some(pool) = pool {
+    if let Some(pool) = lifecycle.pool.as_deref() {
         let lease: Vec<usize> = match lifecycle.grant.as_ref() {
             Some(grant) if !grant.slots.is_empty() => grant.slots.clone(),
             Some(_) => Vec::new(),

@@ -427,13 +427,13 @@ impl Lifecycle {
     /// grants and the blocking facade never outgrow
     /// [`worker_count`](Lifecycle::worker_count); an *elastic* grant (one
     /// carrying a live lease core) can be grown by the dispatcher up to the
-    /// whole pool plus the inline worker, so per-worker structures (work
-    /// sources, steal channels, result slots) must be sized to the pool
-    /// capacity, not the initial grant.
+    /// whole pool (every worker, the driver included, holds a pool thread),
+    /// so per-worker structures (work sources, steal channels, result
+    /// slots) must be sized to the pool capacity, not the initial grant.
     pub(crate) fn worker_capacity(&self, config: &crate::params::SearchConfig) -> usize {
         match (&self.grant, &self.pool) {
             (Some(grant), Some(pool)) if grant.core.is_some() => {
-                (pool.size() + 1).max(self.worker_count(config))
+                pool.size().max(self.worker_count(config))
             }
             _ => self.worker_count(config),
         }

@@ -116,11 +116,13 @@ pub struct Metrics {
     /// [`FairShare`](crate::schedule::FairShare)); for the blocking facade
     /// it equals [`workers`](Metrics::workers).
     pub granted_workers: usize,
-    /// The pool-thread slots leased to this search — **disjoint** between
-    /// concurrently multiplexed searches, which is exactly what the
-    /// scheduler-matrix tests assert.  Empty for the blocking facade and
-    /// for single-worker grants (worker 0 runs on the driver thread, not a
-    /// pool thread).
+    /// The pool-thread slots leased to this search's helpers (workers 1..)
+    /// at dispatch — **disjoint** between concurrently multiplexed
+    /// searches, which is exactly what the scheduler-matrix tests assert.
+    /// Worker 0's thread is not listed: it is the dispatcher under a serial
+    /// policy and one more leased pool thread, equally disjoint, under a
+    /// concurrent one.  Empty for the blocking facade and for single-worker
+    /// grants.
     pub granted_slots: Vec<usize>,
     /// Time the submission waited in the runtime's queue before its grant,
     /// measured on the **dispatcher's** clock (receipt → grant), so it is

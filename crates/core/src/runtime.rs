@@ -48,8 +48,9 @@
 //! [`FairShare`](crate::schedule::FairShare)
 //! ([`Runtime::with_policy`]) the free workers are split proportionally
 //! across the pending queue and several searches run **concurrently on
-//! disjoint pool-thread subsets**, each with its own driver thread; leases
-//! are reclaimed and re-granted as searches finish.  The granted worker
+//! disjoint pool-thread subsets**, each driven from the first thread of its
+//! own lease (no search spawns a thread); leases are reclaimed and
+//! re-granted as searches finish.  The granted worker
 //! count, leased slots and dispatcher-clock queue wait are stamped onto
 //! each outcome's [`Metrics`](crate::metrics::Metrics)
 //! (`granted_workers`, `granted_slots`, `queue_wait`, `search_id`), and
@@ -134,6 +135,14 @@ struct ScopedJob {
 // several pool threads are fine.
 unsafe impl Send for ScopedJob {}
 
+/// One unit of work for a pool thread: a scoped search worker, or a whole
+/// search's driver (a concurrent policy leases the driver's pool thread
+/// together with its helpers').
+enum PoolJob {
+    Scoped(ScopedJob),
+    Driver(Box<dyn FnOnce() + Send>),
+}
+
 /// Completion latch + result slots shared between one `scoped_run` call and
 /// the pool threads executing its jobs.
 struct ScopedState {
@@ -153,7 +162,7 @@ struct ScopedState {
 pub struct WorkerPool {
     /// One job channel per thread: the vendored channel shim is single-
     /// consumer, and per-thread queues also keep dispatch deterministic.
-    senders: Vec<Sender<ScopedJob>>,
+    senders: Vec<Sender<PoolJob>>,
     threads: Vec<JoinHandle<()>>,
 }
 
@@ -174,7 +183,7 @@ impl WorkerPool {
             // Deep enough that an oversubscribed search (more workers than
             // pool threads) can queue all its extra jobs without blocking
             // the dispatching thread.
-            let (tx, rx) = bounded::<ScopedJob>(1024);
+            let (tx, rx) = bounded::<PoolJob>(1024);
             senders.push(tx);
             handles.push(
                 std::thread::Builder::new()
@@ -245,7 +254,7 @@ impl WorkerPool {
                 state: Arc::clone(&state),
             };
             let target = slots[(index - 1) % slots.len()];
-            if self.senders[target].send(job).is_err() {
+            if self.senders[target].send(PoolJob::Scoped(job)).is_err() {
                 // The pool is shutting down; run the worker inline instead
                 // of losing it (the latch still expects its completion).
                 run_scoped_inline(erased, index, &state);
@@ -289,9 +298,18 @@ impl WorkerPool {
     /// the pool is shutting down (the channel is closed).
     fn send_to_slot(&self, slot: usize, job: ScopedJob) -> bool {
         match self.senders.get(slot) {
-            Some(tx) => tx.send(job).is_ok(),
+            Some(tx) => tx.send(PoolJob::Scoped(job)).is_ok(),
             None => false,
         }
+    }
+
+    /// Hand a search's driver to the pool thread at `slot`, which runs it
+    /// after any job already queued there (a retiring worker's tail).
+    fn drive_on_slot(&self, slot: usize, drive: Box<dyn FnOnce() + Send>) {
+        // The dispatcher holds the pool, so every channel is open and every
+        // thread alive (both kinds of job catch their own panics).
+        let sent = self.senders[slot].send(PoolJob::Driver(drive));
+        assert!(sent.is_ok(), "pool thread {slot} outlives the dispatcher");
     }
 
     /// The elastic variant of [`scoped_run_on`](WorkerPool::scoped_run_on):
@@ -324,7 +342,9 @@ impl WorkerPool {
             slots.len(),
             "elastic grants are 1:1"
         );
-        let capacity = self.size() + 1;
+        // Worker ids never exceed the pool: under a concurrent policy every
+        // worker of the search, the driver included, holds its own slot.
+        let capacity = self.size();
         let state = Arc::new(ScopedState {
             remaining: Mutex::new(count - 1),
             done: Condvar::new(),
@@ -451,12 +471,15 @@ fn run_scoped_inline(
     }
 }
 
-/// A pool thread: park on the job channel, run scoped jobs as they arrive,
-/// survive job panics (they are reported through the latch, not by killing
-/// the thread).
-fn pool_thread(rx: Receiver<ScopedJob>) {
+/// A pool thread: park on the job channel, run jobs as they arrive,
+/// survive job panics (a worker's are reported through the latch, a
+/// driver's through its handle, neither by killing the thread).
+fn pool_thread(rx: Receiver<PoolJob>) {
     while let Ok(job) = rx.recv() {
-        run_scoped_inline(job.f, job.index, &job.state);
+        match job {
+            PoolJob::Scoped(job) => run_scoped_inline(job.f, job.index, &job.state),
+            PoolJob::Driver(drive) => drive(),
+        }
     }
 }
 
@@ -479,17 +502,21 @@ struct ElasticHook {
 // closure is `Sync`, so concurrent calls are fine.
 unsafe impl Send for ElasticHook {}
 
-/// Mutexed bookkeeping of one elastic lease (see [`GrantCore`]).
+/// Mutexed bookkeeping of one elastic lease (see [`GrantCore`]).  The
+/// driver's own pool slot is not in it: worker 0 never retires, so the
+/// dispatcher keeps that slot aside and reclaims it with the rest of the
+/// lease when the driver reports `Finished`.
 struct GrantInner {
-    /// Live workers, *including* worker 0 on the driver thread and workers
+    /// Live workers, *including* worker 0 on the driver's slot and workers
     /// that claimed a revocation but have not acknowledged it yet.
     worker_count: usize,
     /// Next fresh worker id; ids freed by revocation are recycled first, so
-    /// this never exceeds the pool capacity + 1.
+    /// this never exceeds the pool size (one slot per live worker).
     next_worker_id: usize,
     /// Worker ids freed by acknowledged revocations, available for reuse.
     free_ids: Vec<usize>,
-    /// Pool slots currently leased to the search (excludes the driver).
+    /// Pool slots currently leased to the search's helpers (workers 1..;
+    /// excludes the driver's slot).
     held_slots: Vec<usize>,
     /// `(worker_id, slot)` for every worker dispatched onto a pool slot.
     assignments: Vec<(usize, usize)>,
@@ -724,7 +751,7 @@ impl GrantCore {
 
     /// Dispatcher-side teardown at search finish: clear any unclaimed
     /// revocation requests and return the remaining lease
-    /// `(workers, slots)` for reclamation.  Every acknowledgement
+    /// `(workers, helper slots)` for reclamation.  Every acknowledgement
     /// happens-before the driver's `Finished` message, so the returned
     /// numbers are settled.
     fn teardown(&self) -> (usize, Vec<usize>) {
@@ -806,9 +833,12 @@ fn gauge_sampler(stop: Arc<AtomicBool>, gauges: Arc<PoolGauges>, tracer: Tracer,
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RuntimeConfig {
     /// Maximum search workers that can run in parallel.  The pool keeps
-    /// `workers - 1` persistent threads (the dispatching thread itself runs
-    /// worker 0 of each search), so a search configured with up to this
-    /// many workers executes with zero thread spawns.
+    /// `workers` persistent threads.  Under a concurrent policy every
+    /// worker of a search, its driver (worker 0) included, runs on a leased
+    /// pool thread; under the serial [`Fifo`] policy the dispatcher thread
+    /// drives each search inline and its helpers lease at most
+    /// `workers - 1` pool threads.  Either way a search configured with up
+    /// to this many workers executes with zero thread spawns.
     pub workers: usize,
     /// Capacity of each handle's bounded progress channel; events beyond a
     /// lagging consumer are dropped, never blocked on.
@@ -914,9 +944,10 @@ pub(crate) struct ExecutionGrant {
     /// Granted worker count — the engine's effective worker count,
     /// overriding `SearchConfig::workers` (which is the *request*).
     pub(crate) workers: usize,
-    /// Leased pool-thread indices (disjoint between concurrently running
-    /// searches).  Workers 1.. round-robin over these; worker 0 runs on the
-    /// search's driver thread.
+    /// Leased pool-thread indices of the helpers (disjoint between
+    /// concurrently running searches).  Workers 1.. round-robin over these;
+    /// worker 0 runs on the search's driver — the dispatcher thread under a
+    /// serial policy, one more leased pool thread under a concurrent one.
     pub(crate) slots: Vec<usize>,
     /// Time from submission to grant, recorded by the dispatcher at grant
     /// time (the submitter never self-reports its wait).
@@ -937,6 +968,10 @@ type Job = Box<dyn FnOnce(ExecutionGrant) + Send + 'static>;
 struct Submission {
     search_id: u64,
     requested_workers: usize,
+    /// Can the search take workers grown onto it mid-run?  Every parallel
+    /// coordination can; a Sequential search (one worker, no steal path)
+    /// cannot, so it requests one worker and keeps a fixed lease.
+    elastic: bool,
     /// Scheduling priority ([`SearchConfig::priority`]), surfaced to the
     /// policy on every plan/replan.
     priority: Priority,
@@ -961,11 +996,11 @@ struct Submission {
 /// point.
 enum Control {
     Submit(Submission),
-    /// A concurrently driven search finished; reclaim its lease.
+    /// A concurrently driven search finished on the pool thread at
+    /// `driver_slot`; reclaim that slot and the rest of its lease.
     Finished {
         search_id: u64,
-        workers: usize,
-        slots: Vec<usize>,
+        driver_slot: usize,
     },
     /// A worker acknowledged a revocation and left its search mid-run; its
     /// slot and one worker of budget return to the free pools.  Sent by
@@ -1026,10 +1061,11 @@ struct QueuedSearch {
     throttle_started: Option<Instant>,
 }
 
-/// Dispatcher-side state of one running elastic search: the lease's shared
-/// core plus the request attributes the policy sees on every replan.
+/// Dispatcher-side state of one search running under a concurrent policy:
+/// the lease's shared core (`None` for a fixed one-worker Sequential
+/// lease) plus the request attributes the policy sees on every replan.
 struct ActiveSearch {
-    core: Arc<GrantCore>,
+    core: Option<Arc<GrantCore>>,
     cancel: CancelToken,
     priority: Priority,
     requested_workers: usize,
@@ -1047,24 +1083,24 @@ struct ActiveSearch {
 /// and the free pool-thread slots, and executes the policy's admissions.
 struct Dispatcher {
     rx: Receiver<Control>,
-    /// Clone handed to each driver thread for its `Finished` notification.
+    /// Clone handed to each pool-driven search for its `Finished`
+    /// notification.
     finished_tx: Sender<Control>,
     policy: Box<dyn SchedulePolicy>,
-    /// Total worker capacity (`RuntimeConfig::workers`).
+    /// Total worker capacity (`RuntimeConfig::workers`, also the pool size).
     capacity: usize,
     /// Unleased worker budget.  `capacity` minus the granted counts of the
     /// running searches (saturating: FIFO grants oversubscribed requests).
+    /// Under a concurrent policy every granted worker holds one pool slot,
+    /// so this always equals `free_slots.len()`.
     free_workers: usize,
     /// Unleased pool-thread indices.
     free_slots: Vec<usize>,
     pending: VecDeque<QueuedSearch>,
     active: usize,
-    /// Driver threads of concurrently running searches, joined on their
-    /// `Finished` message.
-    drivers: HashMap<u64, JoinHandle<()>>,
-    /// Elastic leases of the currently running searches (concurrent
-    /// policies only; empty under Fifo).
-    elastic: HashMap<u64, ActiveSearch>,
+    /// Leases of the currently running searches (concurrent policies only;
+    /// empty under Fifo).
+    running: HashMap<u64, ActiveSearch>,
     /// The pool, for dispatching grown workers onto newly leased slots.
     pool: Arc<WorkerPool>,
     /// Elastic re-planning tick ([`RuntimeConfig::replan_period`]).
@@ -1121,9 +1157,6 @@ impl Dispatcher {
                 self.replan();
             }
         }
-        for (_, driver) in self.drivers.drain() {
-            let _ = driver.join();
-        }
     }
 
     fn handle(&mut self, msg: Control) {
@@ -1145,31 +1178,28 @@ impl Dispatcher {
             }
             Control::Finished {
                 search_id,
-                workers,
-                slots,
+                driver_slot,
             } => {
                 self.tracer
                     .control(TraceEvent::SearchFinished { search_id });
-                if let Some(entry) = self.elastic.remove(&search_id) {
-                    // Elastic lease: the launch-time payload is stale after
+                // Every concurrent launch registered its lease.
+                if let Some(entry) = self.running.remove(&search_id) {
+                    // An elastic lease's launch-time size is stale after
                     // grows/shrinks — reclaim what the core still holds.
                     // Every acknowledgement happens-before this message, so
-                    // the teardown numbers are settled.
-                    let (workers, slots) = entry.core.teardown();
+                    // the teardown numbers are settled.  A fixed lease is
+                    // the driver alone.
+                    let (workers, mut slots) = match &entry.core {
+                        Some(core) => core.teardown(),
+                        None => (entry.workers, Vec::new()),
+                    };
+                    slots.push(driver_slot);
                     if let Some(quota) = &entry.quota {
                         // ordering: dispatcher-private tally (single writer
                         // and reader: this thread); atomic for ownership.
                         quota.in_flight.fetch_sub(workers, Ordering::Relaxed);
                     }
                     self.reclaim(workers, slots);
-                } else {
-                    self.reclaim(workers, slots);
-                }
-                if let Some(driver) = self.drivers.remove(&search_id) {
-                    // The driver sent `Finished` as its last action; the
-                    // join returns promptly and keeps the thread count
-                    // bounded by the number of *running* searches.
-                    let _ = driver.join();
                 }
             }
             Control::Released {
@@ -1198,7 +1228,7 @@ impl Dispatcher {
                     slot: slot as u32,
                     latency_ns: latency.as_nanos() as u64,
                 });
-                if let Some(entry) = self.elastic.get_mut(&search_id) {
+                if let Some(entry) = self.running.get_mut(&search_id) {
                     entry.workers = entry.workers.saturating_sub(1);
                     entry.pending_revocations = entry.pending_revocations.saturating_sub(1);
                     if let Some(quota) = &entry.quota {
@@ -1298,9 +1328,19 @@ impl Dispatcher {
             if requests.is_empty() {
                 return;
             }
-            let admissions =
+            let mut admissions =
                 self.policy
                     .plan(&requests, self.free_workers, self.capacity, self.active);
+            if self.policy.concurrent() {
+                // Each concurrent worker needs a pool slot of its own: trim
+                // whatever a policy admits beyond the free slots.
+                let mut room = self.free_slots.len();
+                admissions.retain_mut(|admission| {
+                    admission.workers = admission.workers.max(1).min(room);
+                    room -= admission.workers;
+                    admission.workers > 0
+                });
+            }
             if admissions.is_empty() {
                 return;
             }
@@ -1329,19 +1369,33 @@ impl Dispatcher {
     }
 
     /// Lease pool slots to one admitted search and run it — inline on this
-    /// thread under a serial policy (the PR 4 fast path), on a dedicated
-    /// driver thread under a concurrent one.
+    /// thread under a serial policy (the PR 4 fast path), on the first
+    /// thread of its own lease under a concurrent one.
     fn launch(&mut self, queued: QueuedSearch, workers: usize) {
         let QueuedSearch { submission, .. } = queued;
-        // Worker 0 runs on the driver; workers 1.. need pool threads.  A
-        // FIFO oversubscribed grant takes every free slot and round-robins.
-        let lease_len = workers.saturating_sub(1).min(self.free_slots.len());
-        let slots: Vec<usize> = self.free_slots.drain(..lease_len).collect();
-        // Concurrent policies never oversubscribe (their grants are capped
-        // to the free budget, and `free_slots ≥ free_workers − 1 + active`
-        // holds inductively), so every concurrent grant is fully leased and
-        // therefore elastic: one pool slot per helper, renegotiable.
-        let core = self.policy.concurrent().then(|| {
+        let concurrent = self.policy.concurrent();
+        // A Sequential search keeps a fixed one-worker lease whatever the
+        // policy granted: it has no steal path a second worker could join.
+        let workers = if submission.elastic { workers } else { 1 };
+        // Under a concurrent policy every worker, the driver included, gets
+        // a pool slot of its own (`dispatch` never admits beyond the free
+        // slots).  Under a serial policy the dispatcher drives inline and
+        // the helpers lease at most `capacity - 1` slots: an oversubscribed
+        // FIFO grant round-robins over them, so it still runs on at most
+        // `capacity` threads.
+        let lease_len = if concurrent {
+            workers
+        } else {
+            (workers - 1).min(self.capacity - 1)
+        };
+        let mut slots: Vec<usize> = self
+            .free_slots
+            .drain(..lease_len.min(self.free_slots.len()))
+            .collect();
+        let driver_slot = if concurrent { slots.pop() } else { None };
+        // A concurrent grant is fully leased, so a parallel search's grant
+        // is elastic: one pool slot per helper, renegotiable.
+        let core = (concurrent && submission.elastic).then(|| {
             Arc::new(GrantCore::new(
                 submission.search_id,
                 workers,
@@ -1353,11 +1407,11 @@ impl Dispatcher {
             // ordering: dispatcher-private tally; atomic for ownership only.
             quota.in_flight.fetch_add(workers, Ordering::Relaxed);
         }
-        if let Some(core) = &core {
-            self.elastic.insert(
+        if concurrent {
+            self.running.insert(
                 submission.search_id,
                 ActiveSearch {
-                    core: Arc::clone(core),
+                    core: core.clone(),
                     cancel: submission.cancel.clone(),
                     priority: submission.priority,
                     requested_workers: submission.requested_workers,
@@ -1399,28 +1453,28 @@ impl Dispatcher {
             workers: workers as u32,
         });
         let job = submission.job;
-        if self.policy.concurrent() {
+        let search_id = submission.search_id;
+        if let Some(driver_slot) = driver_slot {
             let finished = self.finished_tx.clone();
-            let search_id = submission.search_id;
-            let driver = std::thread::Builder::new()
-                .name(format!("yewpar-driver-{search_id}"))
-                .spawn(move || {
+            self.pool.drive_on_slot(
+                driver_slot,
+                Box::new(move || {
                     // The job catches search panics itself (the handle
                     // re-raises them); this outer catch only guarantees the
                     // lease is returned even if result delivery panics.
+                    // The job, and the pool reference inside it, is dropped
+                    // before `Finished` is sent, so the last reference (whose
+                    // drop joins every pool thread) is never a pool thread's.
                     let _ = catch_unwind(AssertUnwindSafe(|| job(grant)));
                     let _ = finished.send(Control::Finished {
                         search_id,
-                        workers,
-                        slots,
+                        driver_slot,
                     });
-                })
-                .expect("spawn search driver");
-            self.drivers.insert(search_id, driver);
+                }),
+            );
         } else {
             // Serial policy: inline on the dispatcher thread — zero handoff
             // latency, identical to the PR 4 FIFO runtime.
-            let search_id = submission.search_id;
             job(grant);
             self.tracer
                 .control(TraceEvent::SearchFinished { search_id });
@@ -1436,19 +1490,19 @@ impl Dispatcher {
     /// sets, ask the policy for [`Adjustment`]s and execute them in order,
     /// best-effort.  No-op while nothing is running or waiting.
     fn replan(&mut self) {
-        if self.elastic.is_empty() && self.pending.is_empty() {
+        if self.running.is_empty() && self.pending.is_empty() {
             return;
         }
         let now = Instant::now();
         let mut running: Vec<RunningSearch> = self
-            .elastic
+            .running
             .iter()
             .map(|(&search_id, entry)| RunningSearch {
                 search_id,
                 workers: entry.workers,
                 requested_workers: entry.requested_workers,
                 priority: entry.priority,
-                elastic: true,
+                elastic: entry.core.is_some(),
                 running_for: now.duration_since(entry.started),
                 pending_revocations: entry.pending_revocations,
                 preempted: entry.preempted,
@@ -1472,12 +1526,12 @@ impl Dispatcher {
     /// Lease up to `want` extra workers onto a running search — bounded by
     /// the free budget, the free slots, and the search's session quota.
     fn execute_grow(&mut self, search: u64, want: usize) {
-        let Some(entry) = self.elastic.get_mut(&search) else {
+        let Some(entry) = self.running.get_mut(&search).filter(|e| !e.preempted) else {
             return;
         };
-        if entry.preempted {
-            return;
-        }
+        let Some(core) = &entry.core else {
+            return; // A fixed lease.
+        };
         let quota_room = entry
             .quota
             .as_ref()
@@ -1492,7 +1546,7 @@ impl Dispatcher {
             let Some(slot) = self.free_slots.pop() else {
                 break;
             };
-            if entry.core.try_attach(slot, &self.pool) {
+            if core.try_attach(slot, &self.pool) {
                 grown += 1;
             } else {
                 // The search has not armed yet or is finishing — keep the
@@ -1509,7 +1563,7 @@ impl Dispatcher {
                 quota.in_flight.fetch_add(grown, Ordering::Relaxed);
             }
             // ordering: advisory telemetry tallies; snapshots tolerate skew.
-            entry.core.grant_changes.fetch_add(1, Ordering::Relaxed);
+            core.grant_changes.fetch_add(1, Ordering::Relaxed);
             self.gauges
                 .granted_workers
                 .fetch_add(grown, Ordering::Relaxed);
@@ -1525,13 +1579,13 @@ impl Dispatcher {
     /// workers leave (and their slots return) asynchronously, at their next
     /// lifecycle polls.
     fn execute_shrink(&mut self, search: u64, want: usize) {
-        let Some(entry) = self.elastic.get_mut(&search) else {
+        let Some(entry) = self.running.get_mut(&search).filter(|e| !e.preempted) else {
             return;
         };
-        if entry.preempted {
-            return;
-        }
-        let issued = entry.core.request_revoke(want);
+        let Some(core) = &entry.core else {
+            return; // A fixed lease.
+        };
+        let issued = core.request_revoke(want);
         if issued > 0 {
             entry.pending_revocations += issued;
             // ordering: advisory telemetry tally; snapshots tolerate skew.
@@ -1547,7 +1601,7 @@ impl Dispatcher {
     /// partial incumbent at its next poll and its whole lease returns
     /// through the normal finish path.
     fn execute_preempt(&mut self, search: u64) {
-        let Some(entry) = self.elastic.get_mut(&search) else {
+        let Some(entry) = self.running.get_mut(&search) else {
             return;
         };
         if entry.preempted {
@@ -1602,8 +1656,8 @@ impl Runtime {
     /// [`FairShare`](crate::schedule::FairShare) to multiplex concurrent
     /// searches over disjoint worker subsets).
     pub fn with_policy(config: RuntimeConfig, policy: Box<dyn SchedulePolicy>) -> Self {
-        let pool = Arc::new(WorkerPool::new(config.workers.saturating_sub(1)));
         let capacity = config.workers.max(1);
+        let pool = Arc::new(WorkerPool::new(capacity));
         let (tx, rx) = bounded::<Control>(config.queue_capacity.max(1));
         let gauges = Arc::new(PoolGauges::default());
         let policy_name = policy.name();
@@ -1623,8 +1677,7 @@ impl Runtime {
             free_slots: (0..pool.size()).collect(),
             pending: VecDeque::new(),
             active: 0,
-            drivers: HashMap::new(),
-            elastic: HashMap::new(),
+            running: HashMap::new(),
             pool: Arc::clone(&pool),
             replan_period: config.replan_period,
             gauges: Arc::clone(&gauges),
@@ -1802,6 +1855,7 @@ impl Runtime {
         // ordering: unique-ID allocator — only the RMW's atomicity matters;
         // the id orders nothing and is published via the control channel.
         let search_id = self.next_search_id.fetch_add(1, Ordering::Relaxed);
+        let elastic = config.coordination.is_parallel();
         let cancel = parent.child();
         let (progress_tx, progress_rx) = progress_channel(self.config.progress_capacity);
         let shared: Arc<HandleState<T>> = Arc::new(HandleState::new());
@@ -1844,7 +1898,8 @@ impl Runtime {
             .expect("runtime is live until dropped")
             .send(Control::Submit(Submission {
                 search_id,
-                requested_workers: config.workers.max(1),
+                requested_workers: if elastic { config.workers.max(1) } else { 1 },
+                elastic,
                 priority: config.priority,
                 deadline: config.deadline,
                 quota,
@@ -2420,7 +2475,7 @@ mod tests {
                 .wait();
             assert!(out.status.is_complete());
         }
-        assert_eq!(runtime.pool.size(), 2, "workers-1 persistent threads");
+        assert_eq!(runtime.pool.size(), 3, "one persistent thread per worker");
     }
 
     #[test]
@@ -2537,10 +2592,11 @@ mod tests {
         assert_eq!(out.metrics.outstanding_tasks, 0);
     }
 
-    /// Regression: a workers=1 runtime (zero pool threads — also the
-    /// default on a single-core machine) asked to run a multi-worker
-    /// search must fall back to scoped threads, not divide by zero in the
-    /// pool's round-robin dispatch.
+    /// Regression: a workers=1 Fifo runtime (the default on a single-core
+    /// machine: the dispatcher drives, and the helpers may lease none of
+    /// the one pool thread) asked to run a multi-worker search must fall
+    /// back to scoped threads, not divide by zero in the pool's round-robin
+    /// dispatch.
     #[test]
     fn single_worker_runtime_runs_multi_worker_searches() {
         let runtime = Runtime::new(RuntimeConfig::default().workers(1));
@@ -2837,6 +2893,38 @@ mod tests {
         );
         assert!(stats.revocation_latency > Duration::ZERO);
         assert!(stats.grant_changes >= 2, "at least one grow and one shrink");
+    }
+
+    /// A Sequential search has no steal path a grown worker could join, so
+    /// even alone on an idle pool, replanned many times over, it keeps its
+    /// fixed one-worker lease.
+    #[test]
+    fn sequential_searches_keep_a_fixed_one_worker_lease() {
+        use crate::schedule::FairShare;
+        let period = Duration::from_millis(1);
+        let runtime = Runtime::with_policy(
+            RuntimeConfig::default().workers(4).replan_period(period),
+            Box::new(FairShare),
+        );
+        let problem = Irregular { depth: 16 };
+        let expected = Skeleton::new(Coordination::Sequential)
+            .enumerate(&problem)
+            .value
+            .0;
+        // Ask for the whole pool: a Sequential search still leases one.
+        let out = runtime
+            .enumerate(problem, &config(Coordination::Sequential, 4))
+            .wait();
+        assert_eq!(out.value.0, expected);
+        assert!(out.status.is_complete());
+        assert!(
+            out.metrics.elapsed >= 5 * period,
+            "the search must outlive several replan periods, ran {:?}",
+            out.metrics.elapsed
+        );
+        assert_eq!(out.metrics.granted_workers, 1);
+        assert_eq!(out.metrics.grant_changes, 0, "never grown");
+        assert_eq!(runtime.stats().grant_changes, 0);
     }
 
     /// Session quota: an over-quota submission queues (never errors) until

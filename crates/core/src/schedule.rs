@@ -20,10 +20,11 @@
 //!   8-worker pool each therefore run *concurrently* on disjoint 4-worker
 //!   subsets instead of serialising.
 //! * [`DeadlineShare`] — priority- and deadline-aware elastic scheduling:
-//!   admission is priority-weighted, idle workers grow running searches, and
-//!   an urgent arrival *reclaims* workers from long-running low-priority
-//!   searches (cooperative revocation) or preempts them outright instead of
-//!   waiting for the background makespan.
+//!   admission is priority-weighted, idle workers grow running searches
+//!   once they have run for [`GROW_MIN_AGE`], and an urgent arrival
+//!   *reclaims* workers from long-running low-priority searches
+//!   (cooperative revocation) or preempts them outright instead of waiting
+//!   for the background makespan.
 //!
 //! Since PR 8 a grant is a renegotiable *lease*, not a one-shot decision: in
 //! addition to [`plan`](SchedulePolicy::plan) (admission) policies may
@@ -110,10 +111,11 @@ pub struct RunningSearch {
     pub requested_workers: usize,
     /// Scheduling priority the search was submitted with.
     pub priority: Priority,
-    /// Whether the lease is renegotiable.  Non-elastic searches (anything
-    /// admitted by a serial policy, or oversubscribed grants where several
-    /// workers share a pool thread) keep their fixed grant; `Grow`/`Shrink`
-    /// adjustments targeting them are ignored by the runtime.
+    /// Whether the lease is renegotiable.  Sequential searches are not:
+    /// they run one worker with no steal path a grown worker could join, so
+    /// they keep a fixed one-worker lease, and `Grow`/`Shrink` adjustments
+    /// targeting them are ignored by the runtime.  (A serial policy's
+    /// grants are fixed too, but it is never replanned.)
     pub elastic: bool,
     /// How long the search has been running (grant instant to the
     /// replanning instant).
@@ -202,8 +204,10 @@ pub trait SchedulePolicy: Send + 'static {
     /// May several searches run concurrently under this policy?  When
     /// `false` the runtime executes admitted jobs inline on the dispatcher
     /// thread (the PR 4 fast path: zero handoff latency, submission-to-start
-    /// identical to the FIFO runtime); when `true` each admitted search gets
-    /// its own driver thread so the dispatcher stays free to admit more.
+    /// identical to the FIFO runtime); when `true` each admitted search
+    /// leases one pool thread per granted worker, and its driver (worker 0)
+    /// is handed to the first of them, so the dispatcher stays free to
+    /// admit more and no search spawns a thread.
     fn concurrent(&self) -> bool;
 
     /// Plan admissions for the current scheduler state.
@@ -299,11 +303,20 @@ impl SchedulePolicy for Fifo {
     }
 }
 
+/// How long a search must have run before idle-time growth leases it
+/// extra workers: twice the idle back-off's 500 µs sleep ceiling, the
+/// longest a grown worker that finds no work takes to see a revocation.
+/// Growing a younger search mostly hands the next submission a worker it
+/// must first revoke, so that submission's queue wait includes the
+/// revocation.
+pub const GROW_MIN_AGE: Duration = Duration::from_millis(1);
+
 /// Distribute `free` workers round-robin across the elastic running
 /// searches (in the order given), one worker per search per round, growing
 /// them beyond their original requests if necessary: an idle worker helps
 /// some search finish sooner, which is strictly better than idling.
-/// Searches already unwinding (preempted) are skipped.
+/// Searches already unwinding (preempted) or younger than [`GROW_MIN_AGE`]
+/// are skipped.
 fn grow_into_idle(order: &[&RunningSearch], mut free: usize) -> Vec<Adjustment> {
     let mut extra = vec![0usize; order.len()];
     while free > 0 {
@@ -312,7 +325,7 @@ fn grow_into_idle(order: &[&RunningSearch], mut free: usize) -> Vec<Adjustment> 
             if free == 0 {
                 break;
             }
-            if !search.elastic || search.preempted {
+            if !search.elastic || search.preempted || search.running_for < GROW_MIN_AGE {
                 continue;
             }
             extra[i] += 1;
@@ -369,10 +382,11 @@ fn reclaim_over_grants(running: &[RunningSearch]) -> Vec<Adjustment> {
 /// total demand is below the pool (the worker-stranding edge the
 /// redistribution pass cannot fix, because every admitted request is already
 /// satisfied in full), [`replan`](SchedulePolicy::replan) leases the
-/// leftover workers onto the running elastic searches — and reclaims those
-/// over-grants (back down to each search's request) as soon as a new
-/// submission is waiting.  There is no priority-driven reclamation or
-/// preemption; use [`DeadlineShare`] for that.
+/// leftover workers onto the running elastic searches that have run for at
+/// least [`GROW_MIN_AGE`] — and reclaims those over-grants (back down to
+/// each search's request) as soon as a new submission is waiting.  There is
+/// no priority-driven reclamation or preemption; use [`DeadlineShare`] for
+/// that.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FairShare;
 
@@ -463,7 +477,8 @@ impl SchedulePolicy for FairShare {
 /// its name in [`replan`](SchedulePolicy::replan):
 ///
 /// * **Grow** — with nothing pending, idle workers are leased onto running
-///   elastic searches, highest priority first.
+///   elastic searches that have run for at least [`GROW_MIN_AGE`], highest
+///   priority first.
 /// * **Reclaim** — a pending [`High`](Priority::High)/[`Urgent`](Priority::Urgent)
 ///   request that cannot be admitted from free capacity shrinks running
 ///   lower-priority searches (longest-running, lowest-priority first — the
@@ -860,7 +875,10 @@ mod tests {
         let live: Vec<RunningSearch> = admissions
             .iter()
             .enumerate()
-            .map(|(i, a)| running(i as u64 + 1, a.workers, queue[a.index].requested_workers))
+            .map(|(i, a)| RunningSearch {
+                running_for: GROW_MIN_AGE,
+                ..running(i as u64 + 1, a.workers, queue[a.index].requested_workers)
+            })
             .collect();
         let adjustments = fair.replan(&live, &[], 8 - granted, 8);
         let grown: usize = adjustments
@@ -1010,7 +1028,9 @@ mod tests {
         let mut policy = DeadlineShare;
         let mut high = running(2, 2, 4);
         high.priority = Priority::High;
-        let low = running(1, 2, 4);
+        high.running_for = GROW_MIN_AGE;
+        let mut low = running(1, 2, 4);
+        low.running_for = GROW_MIN_AGE;
         // 3 idle workers, nothing pending: the High search gets the extra
         // round-robin share.
         assert_eq!(
@@ -1026,6 +1046,53 @@ mod tests {
                 }
             ]
         );
+    }
+
+    /// Idle-time growth waits for [`GROW_MIN_AGE`] under both elastic
+    /// policies; reclaiming over-grants for a waiting submission does not.
+    #[test]
+    fn growth_skips_searches_younger_than_the_age_gate() {
+        let young = RunningSearch {
+            running_for: GROW_MIN_AGE - Duration::from_micros(1),
+            ..running(1, 1, 1)
+        };
+        let aged = RunningSearch {
+            running_for: GROW_MIN_AGE,
+            ..running(2, 1, 1)
+        };
+        let policies: [&mut dyn SchedulePolicy; 2] = [&mut FairShare, &mut DeadlineShare];
+        for policy in policies {
+            let name = policy.name();
+            assert!(
+                policy
+                    .replan(std::slice::from_ref(&young), &[], 3, 4)
+                    .is_empty(),
+                "{name}: a search younger than the gate is not grown"
+            );
+            assert_eq!(
+                policy.replan(&[young.clone(), aged.clone()], &[], 2, 4),
+                vec![Adjustment::Grow {
+                    search: 2,
+                    workers: 2
+                }],
+                "{name}: the idle workers all go to the aged search"
+            );
+            // Over-grant reclaim ignores age: a search holding more than it
+            // asked for gives the excess back to a waiting submission
+            // however young it is.
+            let over = RunningSearch {
+                running_for: Duration::ZERO,
+                ..running(3, 3, 1)
+            };
+            assert_eq!(
+                policy.replan(&[over], &pending(&[2]), 0, 4),
+                vec![Adjustment::Shrink {
+                    search: 3,
+                    workers: 2
+                }],
+                "{name}: over-grant reclaim is unchanged"
+            );
+        }
     }
 
     #[test]

@@ -24,11 +24,17 @@
 
 use std::time::Duration;
 
-use yewpar::schedule::{Adjustment, PendingRequest, Priority, RunningSearch, SchedulePolicy};
+use yewpar::schedule::{
+    Adjustment, PendingRequest, Priority, RunningSearch, SchedulePolicy, GROW_MIN_AGE,
+};
 use yewpar::trace::{TraceEvent, TraceRecord, CONTROL_WORKER};
 use yewpar::SearchStatus;
 
 use crate::engine::{SimConfig, SimOutcome};
+
+/// [`GROW_MIN_AGE`] in virtual ticks (one tick is one microsecond, as in
+/// the [`RunningSearch::running_for`] snapshots).
+const GROW_MIN_AGE_TICKS: u64 = GROW_MIN_AGE.as_micros() as u64;
 
 /// The boxed search runner of a [`SimJob`]: maps the scheduler-granted
 /// configuration to a simulated outcome.
@@ -502,8 +508,9 @@ pub fn simulate_multiplexed_elastic<R>(
 
         // Renegotiate running leases — the virtual replanning tick.  The
         // threaded dispatcher replans on a short periodic timer; the
-        // virtual clock replans at every scheduler event, which is the
-        // same schedule with the idle gaps removed.
+        // virtual clock replans at every scheduler event (a search coming
+        // of growth age is one), which is the same schedule with the idle
+        // gaps removed.
         if elastic && !running.is_empty() {
             running.sort_by_key(|r| r.search_id);
             let snapshot: Vec<RunningSearch> =
@@ -581,14 +588,21 @@ pub fn simulate_multiplexed_elastic<R>(
         }
 
         // Advance the clock to the next event: a completion, a revocation
-        // acknowledgement, or an arrival.
+        // acknowledgement, an arrival, or (elastic policies) a search
+        // reaching GROW_MIN_AGE, from which on replans may grow it.
         let next_completion = running.iter().map(|r| (r.finish_at, r.seq)).min();
         let next_revocation = revocations.iter().map(|&(due, _, _)| due).min();
         let next_arrival = arrivals.peek().map(|&(tick, _)| tick);
+        let next_of_age = running
+            .iter()
+            .map(|r| r.granted_at + GROW_MIN_AGE_TICKS)
+            .filter(|&tick| elastic && tick > now)
+            .min();
         let next = [
             next_completion.map(|(tick, _)| tick),
             next_revocation,
             next_arrival,
+            next_of_age,
         ]
         .into_iter()
         .flatten()
@@ -820,17 +834,18 @@ mod tests {
 
     #[test]
     fn grant_oscillation_is_flagged_by_the_thrash_analyzer() {
-        // FairShare grows a lone small job into the whole pool, reclaims
-        // for each newcomer, then re-grows when the newcomer finishes.
-        // Two newcomer cycles produce four lease changes on the first
-        // search — enough for the flight-recorder's grant_thrash rule.
+        // FairShare grows a lone small job into the whole pool once it has
+        // run for GROW_MIN_AGE, reclaims for each newcomer, then re-grows
+        // when the newcomer finishes.  Two newcomer cycles produce four
+        // lease changes on the first search — enough for the
+        // flight-recorder's grant_thrash rule.
         let schedule = simulate_multiplexed_elastic(
             8,
             &mut FairShare,
             10,
             vec![
                 sized_job(2, 9),
-                sized_job(6, 4).submit_at(1_000),
+                sized_job(6, 4).submit_at(GROW_MIN_AGE_TICKS + 1_000),
                 sized_job(6, 4).submit_at(200_000),
             ],
         );

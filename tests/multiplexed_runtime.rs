@@ -353,10 +353,11 @@ fn endless(seed: u64) -> Irregular {
 /// records the lease change.
 #[test]
 fn grown_search_produces_solo_results() {
-    // Deep enough that the search spans many 1 ms replan periods even in
-    // a release build — a depth-10 run finishes in ~200 µs, before the
-    // replanner ever fires, and the grow assertion below goes flaky.
-    let problem = Irregular { depth: 13, seed: 1 };
+    // Deep enough that the search outlives the growth age gate
+    // (`GROW_MIN_AGE`, 1 ms) by many 1 ms replan periods even in a release
+    // build — a depth-13 run finishes in ~2 ms, around the first tick that
+    // may grow it, and the grow assertion below goes flaky.
+    let problem = Irregular { depth: 15, seed: 1 };
     let expected = subtree_size(&problem);
     let runtime = Runtime::with_policy(
         RuntimeConfig::default()
